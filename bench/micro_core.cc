@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks for the hot paths of the library:
-// event queue throughput, filtering predicates, routing, LeLA
-// construction, trace generation and an end-to-end engine run.
+// filtering predicates, routing, LeLA construction, trace generation and
+// an end-to-end engine run (event queue throughput: event_kernel.cc).
 
 #include <benchmark/benchmark.h>
 
@@ -15,7 +15,7 @@
 #include "net/topology_generator.h"
 #include "obs/recorder.h"
 #include "obs/registry.h"
-#include "sim/simulator.h"
+#include "sim/time.h"
 #include "trace/synthetic.h"
 
 namespace d3t {
@@ -114,22 +114,6 @@ class HashMapDistributedDisseminator : public core::Disseminator {
   std::unordered_map<uint64_t, uint64_t> event_ids_;
   uint64_t next_event_id_ = 0;
 };
-
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  const size_t batch = static_cast<size_t>(state.range(0));
-  Rng rng(1);
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    for (size_t i = 0; i < batch; ++i) {
-      queue.Schedule(static_cast<sim::SimTime>(rng.NextBounded(1 << 20)),
-                     [](sim::SimTime) {});
-    }
-    while (!queue.empty()) queue.RunNext();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(16384);
 
 void BM_ForwardingPredicate(benchmark::State& state) {
   Rng rng(2);

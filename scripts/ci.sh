@@ -36,6 +36,12 @@
 # the faults to have fired, the crash to have been restarted, AND the
 # metrics to still match the fault-free direct runs byte for byte.
 #
+# Ledger: set D3T_LEDGER=1 to instead build the benchmark package
+# (ledger/ compiles src/ against its public APIs, which the tier-1
+# build never does) and run every workload in miniature on two seeds
+# via ledger/test_ledger.py — about a minute, so an API change cannot
+# break the benchmark without a CI signal.
+#
 # Both smokes pass --trace-out so the merged flight-recorder dump
 # (obs/ trace events shipped back over kObsSnapshot frames) lands in
 # trace-results/ for CI to upload — every smoke run leaves an
@@ -49,6 +55,12 @@ if [[ -n "${D3T_LINT:-}" ]]; then
   python3 tools/lint/d3t_lint.py --selftest
   echo "== d3t-lint: src/ =="
   python3 tools/lint/d3t_lint.py src/
+  exit 0
+fi
+
+if [[ -n "${D3T_LEDGER:-}" ]]; then
+  echo "== ledger: build + miniature workloads =="
+  python3 ledger/test_ledger.py
   exit 0
 fi
 

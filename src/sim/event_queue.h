@@ -1,9 +1,8 @@
 #ifndef D3T_SIM_EVENT_QUEUE_H_
 #define D3T_SIM_EVENT_QUEUE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <type_traits>
 #include <vector>
 
@@ -11,26 +10,24 @@
 
 namespace d3t::sim {
 
-/// Discriminator of the typed POD event variant. The simulation hot
-/// path (source ticks, message deliveries, node processing) carries
-/// these 16-byte PODs instead of type-erased closures; kCallback is the
-/// escape hatch for tests and cold control paths.
+/// Discriminator of the typed POD event variant. Every simulated
+/// action (source ticks, message deliveries, node processing) is one of
+/// these 16-byte PODs. Zero is deliberately left unnamed: a value-
+/// initialized Event{} matches no kind, so it trips the handlers'
+/// unexpected-kind assert instead of decoding as a real event.
 enum class EventKind : uint32_t {
-  /// Generic std::function callback; payload `b` is the queue-internal
-  /// slot of the stored closure.
-  kCallback = 0,
   /// One source trace tick: `a` = item, `b` = tick index.
-  kSourceTick,
+  kSourceTick = 1,
   /// A batched message delivery: `a` = destination overlay node, `b` =
   /// the scheduler's batch-pool slot holding the span of pooled jobs.
-  kDelivery,
+  kDelivery = 2,
   /// A node dequeues and processes its next queued job: `a` = node.
-  kNodeProcess,
+  kNodeProcess = 3,
   /// One phase of a pull-engine poll round trip: `a` = poll-state
   /// index, `b` = phase (request arrival / serviced / response).
-  kPullPoll,
+  kPullPoll = 4,
   /// End-of-run hook (e.g. lazy fidelity finalization at the horizon).
-  kFinalizeHook,
+  kFinalizeHook = 5,
   /// One scripted world-mutation op of the run's Scenario (repository
   /// failure/recovery, interest churn, coherency renegotiation): `a` =
   /// index into the per-run scenario op table, `b` = phase (0 applies
@@ -38,16 +35,16 @@ enum class EventKind : uint32_t {
   /// its silence-detection window). Carrying an index keeps the event a
   /// POD — the op payload lives in the immutable Scenario, never in a
   /// closure.
-  kScenario,
+  kScenario = 6,
 };
 
 /// A 16-byte POD event: a kind tag plus two untyped payload words whose
 /// meaning is fixed by the kind (see EventKind). Handlers decode with
 /// the named accessors of the scheduling layer; the queue never looks
-/// inside the payload except for kCallback.
+/// inside the payload.
 // d3t-lint: pod-event
 struct Event {
-  EventKind kind = EventKind::kCallback;
+  EventKind kind{};
   uint32_t a = 0;
   uint64_t b = 0;
 
@@ -75,8 +72,7 @@ static_assert(std::is_trivially_copyable_v<Event>,
               "hot-path events must be PODs");
 
 /// Receiver of typed events. The engine (or any other driver) implements
-/// this once and decodes the POD payload per kind; kCallback events
-/// never reach the handler (the queue runs the stored closure itself).
+/// this once and decodes the POD payload per kind.
 class EventHandler {
  public:
   virtual void HandleEvent(SimTime t, const Event& event) = 0;
@@ -85,84 +81,45 @@ class EventHandler {
   ~EventHandler() = default;
 };
 
-/// Callback executed when a kCallback event fires. Receives the firing
-/// time.
-using EventFn = std::function<void(SimTime)>;
-
-/// A deterministic min-heap of timed events. Ties in firing time are
-/// broken by insertion sequence so runs are reproducible regardless of
-/// heap internals. Entry slots are recycled through a free list so memory
-/// stays proportional to the number of *pending* events, not the total
-/// ever scheduled. Entries store the 16-byte POD Event; closures of
-/// kCallback events live in a side table indexed by the event payload,
-/// keeping std::function construction off the typed hot path entirely.
+/// A deterministic min-heap of timed events: one flat vector of 32-byte
+/// {when, seq, Event} items kept as a binary heap. Ties in firing time
+/// are broken by insertion sequence, so events fire in one total order
+/// regardless of heap internals and runs are reproducible. Memory tracks
+/// the high-water mark of pending events, 32 bytes each.
 class EventQueue {
  public:
-  /// Schedules a typed POD event at absolute time `when` (must be >= 0).
-  /// Returns a unique, monotonically increasing event id. `event.kind`
-  /// must not be kCallback — callback slots are queue-internal; use the
-  /// EventFn overload, which allocates one.
-  uint64_t Schedule(SimTime when, Event event);
+  /// Schedules `event` at absolute time `when` (must be >= 0).
+  void Schedule(SimTime when, Event event);
 
-  /// Schedules `fn` at absolute time `when` as a kCallback event (the
-  /// escape hatch for tests and cold control paths).
-  uint64_t Schedule(SimTime when, EventFn fn);
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
 
-  /// Cancels a scheduled event. Returns false if the id already fired,
-  /// was cancelled, or never existed. O(high-water mark of concurrently
-  /// scheduled events) — it scans the slot table, which never shrinks.
-  /// Cancellation is a rare control operation; keeping an id lookup
-  /// table would put a hash insert + erase on every Schedule/RunNext —
-  /// the simulation hot path.
-  bool Cancel(uint64_t id);
+  /// Time of the earliest pending event; kSimTimeMax when empty.
+  SimTime PeekTime() const {
+    return heap_.empty() ? kSimTimeMax : heap_.front().when;
+  }
 
-  bool empty() const { return live_ == 0; }
-  size_t size() const { return live_; }
-
-  /// Time of the earliest live event; kSimTimeMax when empty.
-  SimTime PeekTime() const;
-
-  /// Pops and runs the earliest event; returns its time. Must not be
-  /// called when empty. kCallback events run their stored closure;
-  /// every other kind is dispatched to `handler` (which must then be
-  /// non-null). The callback/handler may schedule further events.
-  SimTime RunNext(EventHandler* handler = nullptr);
+  /// Pops the earliest event, dispatches it to `handler` (non-null) and
+  /// returns its time. Must not be called when empty. The handler may
+  /// schedule further events.
+  SimTime RunNext(EventHandler* handler);
 
  private:
-  struct Entry {
+  struct Item {
     SimTime when;
     uint64_t seq;
     Event event;
-    bool cancelled = false;
   };
-  struct HeapItem {
-    SimTime when;
-    uint64_t seq;
-    size_t index;  // into entries_
-    bool operator>(const HeapItem& other) const {
-      if (when != other.when) return when > other.when;
-      return seq > other.seq;
-    }
-  };
+  static_assert(sizeof(Item) == 32, "queue items stay 32 bytes");
 
-  /// Shared insertion path; `event` may be a queue-built kCallback.
-  uint64_t ScheduleInternal(SimTime when, const Event& event);
-  /// Pops heap items whose entry slot was cancelled or recycled.
-  void DropDeadTop() const;
-  /// Releases the closure slot of a cancelled/consumed kCallback entry.
-  void ReleaseCallback(const Event& event);
+  /// The std heap algorithms keep the *greatest* item on top, so the
+  /// order is inverted: an item is "less" when it fires later.
+  static bool FiresLater(const Item& x, const Item& y) {
+    return x.when != y.when ? x.when > y.when : x.seq > y.seq;
+  }
 
-  std::vector<Entry> entries_;
-  mutable std::vector<size_t> free_list_;
-  mutable std::priority_queue<HeapItem, std::vector<HeapItem>,
-                              std::greater<HeapItem>>
-      heap_;
-  /// Side table of kCallback closures, recycled through its own free
-  /// list; Event::b of a kCallback event indexes it.
-  std::vector<EventFn> callbacks_;
-  std::vector<uint32_t> callback_free_;
+  std::vector<Item> heap_;
   uint64_t next_seq_ = 0;
-  size_t live_ = 0;
 };
 
 }  // namespace d3t::sim

@@ -4,24 +4,14 @@
 
 namespace d3t::sim {
 
-uint64_t Simulator::ScheduleAfter(SimTime delay, Event event) {
+void Simulator::ScheduleAfter(SimTime delay, Event event) {
   assert(delay >= 0);
-  return queue_.Schedule(now_ + delay, event);
+  queue_.Schedule(now_ + delay, event);
 }
 
-uint64_t Simulator::ScheduleAt(SimTime when, Event event) {
+void Simulator::ScheduleAt(SimTime when, Event event) {
   assert(when >= now_);
-  return queue_.Schedule(when, event);
-}
-
-uint64_t Simulator::ScheduleAfter(SimTime delay, EventFn fn) {
-  assert(delay >= 0);
-  return queue_.Schedule(now_ + delay, std::move(fn));
-}
-
-uint64_t Simulator::ScheduleAt(SimTime when, EventFn fn) {
-  assert(when >= now_);
-  return queue_.Schedule(when, std::move(fn));
+  queue_.Schedule(when, event);
 }
 
 uint64_t Simulator::RunUntil(SimTime horizon) {
@@ -30,7 +20,7 @@ uint64_t Simulator::RunUntil(SimTime horizon) {
     const SimTime next = queue_.PeekTime();
     if (next > horizon) break;
     // Advance the clock before running the event so that now() is the
-    // event's firing time inside the handler/callback.
+    // event's firing time inside the handler.
     now_ = next;
     queue_.RunNext(handler_);
     ++executed;

@@ -9,30 +9,22 @@
 namespace d3t::sim {
 
 /// Discrete-event simulation driver: owns the clock and the event queue
-/// and advances time by running events in order. Typed POD events are
-/// dispatched to the registered EventHandler; kCallback events run their
-/// stored closure (the escape hatch for tests and cold control paths).
+/// and advances time by dispatching typed POD events, in (time,
+/// insertion) order, to the registered EventHandler.
 class Simulator {
  public:
   SimTime now() const { return now_; }
   EventQueue& queue() { return queue_; }
 
   /// Registers the receiver of typed events. Must be set before any
-  /// typed event fires; may be null while only callbacks are scheduled.
+  /// event fires.
   void set_handler(EventHandler* handler) { handler_ = handler; }
-  EventHandler* handler() const { return handler_; }
 
   /// Schedules a typed event `delay` microseconds from now (delay >= 0).
-  uint64_t ScheduleAfter(SimTime delay, Event event);
+  void ScheduleAfter(SimTime delay, Event event);
 
   /// Schedules a typed event at absolute time `when` (>= now()).
-  uint64_t ScheduleAt(SimTime when, Event event);
-
-  /// Schedules `fn` `delay` microseconds from now (delay >= 0).
-  uint64_t ScheduleAfter(SimTime delay, EventFn fn);
-
-  /// Schedules `fn` at absolute time `when` (>= now()).
-  uint64_t ScheduleAt(SimTime when, EventFn fn);
+  void ScheduleAt(SimTime when, Event event);
 
   /// Runs events until the queue empties or `horizon` is passed (events
   /// scheduled strictly after `horizon` are left pending). Returns the

@@ -4,8 +4,10 @@
 // hash-map-based engine before the dense edge/tracker refactor; the
 // refactor must reproduce them exactly.
 
+#include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/pull.h"
 #include "exp/experiment.h"
@@ -454,6 +456,92 @@ TEST(DeterminismTest, RecorderAttachmentLeavesMetricsByteIdentical) {
               b->metrics.events);
     EXPECT_EQ(obs::SnapshotGauge(snapshot, "engine.loss_percent"),
               b->metrics.loss_percent);
+  }
+}
+
+TEST(DeterminismTest, RecorderCountsMatchEngineCountersUnderChurn) {
+  // The flight recorder and EngineMetrics count the same run two ways;
+  // the identities below follow from where engine.cc records and counts.
+  // The tick and scenario counts are also pinned against the traces and
+  // the script, so a source-tick or scenario event the queue failed to
+  // dispatch breaks them. Checked for every push policy on the golden
+  // fixture with generated fail/recover churn. Coalescing is off so each
+  // fired delivery event carries exactly one message (the metrics do not
+  // depend on it; see BatchedDispatchIsByteIdenticalToPerMessageDispatch).
+  for (const char* policy : {"distributed", "centralized", "eq3-only",
+                             "all-updates", "temporal"}) {
+    SCOPED_TRACE(policy);
+    ExperimentConfig config = GoldenConfig();
+    config.policy = policy;
+    Result<Workbench> bench = Workbench::Create(config);
+    ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+    const World& world = bench->session().world();
+    ChurnOptions churn;
+    churn.repositories = config.repositories;
+    churn.failures = 6;
+    churn.horizon = world.traces().front().ticks().back().time;
+    churn.seed = config.seed;
+    Result<core::Scenario> scenario = MakeChurnScenario(churn);
+    ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+    RunSpec spec = Workbench::SpecFromConfig(config);
+    spec.scenario = *scenario;
+    spec.policy.coalesce_deliveries = false;
+    obs::Recorder recorder(1 << 18);
+    spec.recorder = &recorder;
+    Result<ExperimentResult> run = bench->session().Run(spec);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_EQ(recorder.dropped(), 0u);
+    const core::EngineMetrics& m = run->metrics;
+
+    // Replay the records, which are in dispatch order: a node's backlog
+    // grows by each delivery, shrinks by each processed job, and is lost
+    // when its repository fails.
+    using obs::TraceEventKind;
+    std::array<uint64_t, 16> count{};
+    std::vector<uint64_t> backlog(config.repositories + 1, 0);
+    uint64_t backlog_lost = 0;
+    for (size_t i = 0; i < recorder.size(); ++i) {
+      const obs::TraceEvent& e = recorder.at(i);
+      ASSERT_LT(e.kind, count.size());
+      ++count[e.kind];
+      const auto kind = static_cast<TraceEventKind>(e.kind);
+      if (kind == TraceEventKind::kDelivery) {
+        ++backlog[e.actor];
+      } else if (kind == TraceEventKind::kJobProcessed) {
+        --backlog[e.actor];
+      } else if (kind == TraceEventKind::kScenarioOp &&
+                 e.arg == static_cast<uint64_t>(
+                              core::ScenarioOpKind::kRepoFail)) {
+        backlog_lost += backlog[e.actor];
+        backlog[e.actor] = 0;
+      }
+    }
+    auto recorded = [&](TraceEventKind kind) {
+      return count[static_cast<size_t>(kind)];
+    };
+    // Source-tick events fired by the horizon (each chain starts at
+    // tick 1; tick 0 is the synchronized initial value).
+    uint64_t tick_events = 0;
+    for (const trace::Trace& trace : world.traces()) {
+      for (size_t k = 1; k < trace.size(); ++k) {
+        if (trace.ticks()[k].time <= m.horizon) ++tick_events;
+      }
+    }
+
+    EXPECT_EQ(recorded(TraceEventKind::kSourceTick), m.source_updates);
+    EXPECT_EQ(recorded(TraceEventKind::kScenarioOp), m.scenario_ops);
+    EXPECT_EQ(m.scenario_ops, scenario->size());  // all within the horizon
+    EXPECT_EQ(recorded(TraceEventKind::kRepair), m.repairs);
+    // `events` counts one per source tick, per delivered message and per
+    // processed job.
+    EXPECT_EQ(recorded(TraceEventKind::kJobProcessed),
+              m.events - tick_events - m.delivery_batches);
+    // Each source update enqueues at the source, and each delivered
+    // message either enqueues at a live repository or is dropped at a
+    // failed one; `dropped_jobs` also counts the wiped backlogs.
+    EXPECT_EQ(recorded(TraceEventKind::kDelivery) +
+                  (m.dropped_jobs - backlog_lost),
+              m.source_updates + m.delivery_batches);
   }
 }
 

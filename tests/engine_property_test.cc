@@ -1,7 +1,9 @@
 // Property-style invariants of the dissemination engine, swept over
 // policies, degrees, delays and seeds with parameterized gtest.
 
+#include <initializer_list>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "core/engine.h"
@@ -21,42 +23,57 @@ struct Sweep {
   sim::SimTime comp;
 };
 
-class EnginePropertyTest
-    : public testing::TestWithParam<std::tuple<Sweep, const char*>> {
- protected:
-  struct Built {
-    Overlay overlay{1, 0};
-    net::OverlayDelayModel delays = net::OverlayDelayModel::Uniform(1, 0);
-    std::vector<trace::Trace> traces;
-  };
-
-  static Built Build(const Sweep& sweep) {
-    Built built;
-    Rng rng(sweep.seed);
-    InterestOptions workload;
-    workload.repository_count = sweep.repos;
-    workload.item_count = sweep.items;
-    auto interests = GenerateInterests(workload, rng);
-    built.delays =
-        net::OverlayDelayModel::Uniform(sweep.repos + 1, sweep.comm);
-    LelaOptions options;
-    options.coop_degree = sweep.degree;
-    Result<LelaResult> result =
-        BuildOverlay(built.delays, interests, sweep.items, options, rng);
-    EXPECT_TRUE(result.ok());
-    built.overlay = std::move(result->overlay);
-    for (size_t i = 0; i < sweep.items; ++i) {
-      trace::SyntheticTraceOptions trace_options;
-      trace_options.tick_count = 250;
-      trace_options.min_price = 15.0 + static_cast<double>(i);
-      trace_options.max_price = 16.0 + static_cast<double>(i);
-      built.traces.push_back(
-          std::move(trace::GenerateSyntheticTrace(trace_options, rng))
-              .value());
-    }
-    return built;
-  }
+constexpr Sweep kSweeps[] = {
+    {101, 12, 4, 2, sim::Millis(20), sim::Millis(5)},
+    {102, 25, 6, 4, sim::Millis(40), sim::Millis(12)},
+    {103, 8, 3, 1, sim::Millis(10), sim::Millis(2)},
+    {104, 30, 5, 30, sim::Millis(15), sim::Millis(8)},
 };
+
+using SweepParam = std::tuple<Sweep, const char*>;
+
+struct Built {
+  Overlay overlay{1, 0};
+  net::OverlayDelayModel delays = net::OverlayDelayModel::Uniform(1, 0);
+  std::vector<trace::Trace> traces;
+};
+
+Built Build(const Sweep& sweep) {
+  Built built;
+  Rng rng(sweep.seed);
+  InterestOptions workload;
+  workload.repository_count = sweep.repos;
+  workload.item_count = sweep.items;
+  auto interests = GenerateInterests(workload, rng);
+  built.delays = net::OverlayDelayModel::Uniform(sweep.repos + 1, sweep.comm);
+  LelaOptions options;
+  options.coop_degree = sweep.degree;
+  Result<LelaResult> result =
+      BuildOverlay(built.delays, interests, sweep.items, options, rng);
+  EXPECT_TRUE(result.ok());
+  built.overlay = std::move(result->overlay);
+  for (size_t i = 0; i < sweep.items; ++i) {
+    trace::SyntheticTraceOptions trace_options;
+    trace_options.tick_count = 250;
+    trace_options.min_price = 15.0 + static_cast<double>(i);
+    trace_options.max_price = 16.0 + static_cast<double>(i);
+    built.traces.push_back(
+        std::move(trace::GenerateSyntheticTrace(trace_options, rng)).value());
+  }
+  return built;
+}
+
+std::string SweepName(const SweepParam& param) {
+  const Sweep& sweep = std::get<0>(param);
+  std::string policy = std::get<1>(param);
+  for (auto& ch : policy) {
+    if (ch == '-') ch = '_';
+  }
+  return policy + "_s" + std::to_string(sweep.seed) + "_r" +
+         std::to_string(sweep.repos) + "_d" + std::to_string(sweep.degree);
+}
+
+class EnginePropertyTest : public testing::TestWithParam<SweepParam> {};
 
 TEST_P(EnginePropertyTest, StructuralInvariantsHold) {
   const auto& [sweep, policy_name] = GetParam();
@@ -90,12 +107,18 @@ TEST_P(EnginePropertyTest, StructuralInvariantsHold) {
   }
 }
 
-TEST_P(EnginePropertyTest, ExactPoliciesArePerfectWithoutDelays) {
-  const auto& [sweep, policy_name] = GetParam();
-  if (std::string(policy_name) != "distributed" &&
-      std::string(policy_name) != "centralized") {
-    GTEST_SKIP() << "only the exact policies guarantee 100% fidelity";
-  }
+INSTANTIATE_TEST_SUITE_P(
+    Sweeps, EnginePropertyTest,
+    testing::Combine(testing::ValuesIn(kSweeps),
+                     testing::Values("distributed", "centralized", "eq3-only",
+                                     "all-updates", "temporal")),
+    [](const testing::TestParamInfo<SweepParam>& info) {
+      return SweepName(info.param);
+    });
+
+// Only the exact policies guarantee 100% fidelity.
+void ExactPoliciesArePerfectWithoutDelays(const Sweep& sweep,
+                                          const char* policy_name) {
   Sweep zero = sweep;
   zero.comm = 0;
   zero.comp = 0;
@@ -103,23 +126,18 @@ TEST_P(EnginePropertyTest, ExactPoliciesArePerfectWithoutDelays) {
   std::unique_ptr<Disseminator> policy = MakeDisseminator(policy_name);
   EngineOptions options;
   options.comp_delay = 0;
-  Engine engine(built.overlay, built.delays, built.traces, *policy,
-                options);
+  Engine engine(built.overlay, built.delays, built.traces, *policy, options);
   Result<EngineMetrics> result = engine.Run();
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result->loss_percent, 0.0);
 }
 
-TEST_P(EnginePropertyTest, MoreDelayNeverGainsFidelity) {
-  const auto& [sweep, policy_name] = GetParam();
-  const std::string policy_str(policy_name);
-  if (policy_str == "temporal" || policy_str == "eq3-only") {
-    // Both policies' outcomes depend on *which* updates reach a node
-    // (rate-limit windows / missed-update state), so delay shifts can
-    // accidentally improve their fidelity; monotonicity only holds for
-    // the policies that forward every needed update.
-    GTEST_SKIP();
-  }
+// Monotonicity holds only for the policies that forward every needed
+// update. Temporal and eq3-only outcomes depend on *which* updates reach
+// a node (rate-limit windows / missed-update state), so a delay shift
+// can accidentally improve their fidelity.
+void MoreDelayNeverGainsFidelity(const Sweep& sweep,
+                                 const char* policy_name) {
   Built slow = Build(sweep);
   Sweep fast_sweep = sweep;
   fast_sweep.comm = 0;
@@ -140,28 +158,50 @@ TEST_P(EnginePropertyTest, MoreDelayNeverGainsFidelity) {
   EXPECT_GE(slow_result->loss_percent + 0.75, fast_result->loss_percent);
 }
 
-std::string SweepName(
-    const testing::TestParamInfo<EnginePropertyTest::ParamType>& info) {
-  const Sweep& sweep = std::get<0>(info.param);
-  std::string policy = std::get<1>(info.param);
-  for (auto& ch : policy) {
-    if (ch == '-') ch = '_';
+/// One (sweep, policy) case of a property that holds for a subset of
+/// the policies.
+class PolicySubsetTest : public EnginePropertyTest {
+ public:
+  using Body = void (*)(const Sweep&, const char*);
+  PolicySubsetTest(Body body, SweepParam param)
+      : body_(body), param_(param) {}
+  void TestBody() override {
+    body_(std::get<0>(param_), std::get<1>(param_));
   }
-  return policy + "_s" + std::to_string(sweep.seed) + "_r" +
-         std::to_string(sweep.repos) + "_d" + std::to_string(sweep.degree);
+
+ private:
+  Body body_;
+  SweepParam param_;
+};
+
+/// Registers `body` over every sweep and just `policies`. A TEST_P would
+/// run over every policy of the Sweeps instantiation, so these cases are
+/// registered directly, under the names that instantiation gives them.
+void RegisterOverPolicies(const char* test, PolicySubsetTest::Body body,
+                          std::initializer_list<const char*> policies) {
+  for (const Sweep& sweep : kSweeps) {
+    for (const char* policy : policies) {
+      const SweepParam param(sweep, policy);
+      testing::RegisterTest(
+          "Sweeps/EnginePropertyTest",
+          (std::string(test) + "/" + SweepName(param)).c_str(), nullptr,
+          testing::PrintToString(param).c_str(), __FILE__, __LINE__,
+          [=]() -> EnginePropertyTest* {
+            return new PolicySubsetTest(body, param);
+          });
+    }
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweeps, EnginePropertyTest,
-    testing::Combine(
-        testing::Values(
-            Sweep{101, 12, 4, 2, sim::Millis(20), sim::Millis(5)},
-            Sweep{102, 25, 6, 4, sim::Millis(40), sim::Millis(12)},
-            Sweep{103, 8, 3, 1, sim::Millis(10), sim::Millis(2)},
-            Sweep{104, 30, 5, 30, sim::Millis(15), sim::Millis(8)}),
-        testing::Values("distributed", "centralized", "eq3-only",
-                        "all-updates", "temporal")),
-    SweepName);
+[[maybe_unused]] const bool kPolicySubsetsRegistered = [] {
+  RegisterOverPolicies("ExactPoliciesArePerfectWithoutDelays",
+                       &ExactPoliciesArePerfectWithoutDelays,
+                       {"distributed", "centralized"});
+  RegisterOverPolicies("MoreDelayNeverGainsFidelity",
+                       &MoreDelayNeverGainsFidelity,
+                       {"distributed", "centralized", "all-updates"});
+  return true;
+}();
 
 // ---------------------------------------------------------------------------
 // Cross-policy agreement: under zero delays the distributed and

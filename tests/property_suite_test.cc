@@ -21,46 +21,45 @@ namespace {
 // ---------------------------------------------------------------------------
 // Event queue vs reference
 
+/// Records the payload `b` of every event it receives, in dispatch order.
+struct FiredLog : sim::EventHandler {
+  std::vector<uint64_t> fired;
+  void HandleEvent(sim::SimTime, const sim::Event& event) override {
+    fired.push_back(event.b);
+  }
+};
+
 TEST(PropertySuite, EventQueueMatchesReferenceOrdering) {
   for (uint64_t seed : {11u, 12u, 13u, 14u}) {
     Rng rng(seed);
     sim::EventQueue queue;
-    // Reference: (time, seq) -> id, ordered exactly like the queue
-    // promises.
-    std::multimap<std::pair<sim::SimTime, uint64_t>, uint64_t> reference;
-    std::vector<uint64_t> fired;
-    uint64_t seq = 0;
+    FiredLog log;
+    // Reference: time -> tag. A multimap keeps equal keys in insertion
+    // order, which is exactly the queue's tie-break promise.
+    std::multimap<sim::SimTime, uint64_t> reference;
+    uint64_t next_tag = 0;
+    auto pop_and_check = [&] {
+      const uint64_t expected = reference.begin()->second;
+      reference.erase(reference.begin());
+      queue.RunNext(&log);
+      ASSERT_FALSE(log.fired.empty());
+      EXPECT_EQ(log.fired.back(), expected) << "seed " << seed;
+    };
 
     for (int op = 0; op < 3000; ++op) {
-      const double dice = rng.NextDouble();
-      if (dice < 0.55 || queue.empty()) {
+      if (rng.NextDouble() < 0.55 || queue.empty()) {
+        // A narrow time range makes equal-time ties common.
         const sim::SimTime when =
-            static_cast<sim::SimTime>(rng.NextBounded(100000));
-        const uint64_t my_seq = seq++;
-        const uint64_t id = queue.Schedule(
-            when, [&fired, my_seq](sim::SimTime) { fired.push_back(my_seq); });
-        reference.emplace(std::make_pair(when, id), my_seq);
-      } else if (dice < 0.7 && !reference.empty()) {
-        // Cancel a pseudo-random live event.
-        auto it = reference.begin();
-        std::advance(it, rng.NextBounded(reference.size()));
-        EXPECT_TRUE(queue.Cancel(it->first.second));
-        reference.erase(it);
+            static_cast<sim::SimTime>(rng.NextBounded(1000));
+        const uint64_t tag = next_tag++;
+        queue.Schedule(when, sim::Event::Delivery(0, tag));
+        reference.emplace(when, tag);
       } else {
-        const uint64_t expected = reference.begin()->second;
-        reference.erase(reference.begin());
-        queue.RunNext();
-        ASSERT_FALSE(fired.empty());
-        EXPECT_EQ(fired.back(), expected) << "seed " << seed;
+        pop_and_check();
       }
       ASSERT_EQ(queue.size(), reference.size());
     }
-    while (!reference.empty()) {
-      const uint64_t expected = reference.begin()->second;
-      reference.erase(reference.begin());
-      queue.RunNext();
-      EXPECT_EQ(fired.back(), expected);
-    }
+    while (!reference.empty()) pop_and_check();
     EXPECT_TRUE(queue.empty());
   }
 }

@@ -1,3 +1,4 @@
+#include <functional>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -7,6 +8,29 @@
 
 namespace d3t::sim {
 namespace {
+
+/// Records every typed event it receives, then runs the optional
+/// `on_event` reaction (which may schedule further events).
+struct RecordingHandler : EventHandler {
+  struct Seen {
+    SimTime t;
+    Event event;
+  };
+  std::vector<Seen> seen;
+  std::function<void(SimTime, const Event&)> on_event;
+
+  void HandleEvent(SimTime t, const Event& event) override {
+    seen.push_back({t, event});
+    if (on_event) on_event(t, event);
+  }
+
+  /// Payload `a` of every event seen, in dispatch order.
+  std::vector<uint32_t> Tags() const {
+    std::vector<uint32_t> tags;
+    for (const Seen& s : seen) tags.push_back(s.event.a);
+    return tags;
+  }
+};
 
 TEST(TimeTest, Conversions) {
   EXPECT_EQ(Millis(12.5), 12500);
@@ -24,76 +48,26 @@ TEST(EventQueueTest, EmptyInitially) {
 
 TEST(EventQueueTest, RunsInTimeOrder) {
   EventQueue q;
-  std::vector<int> fired;
-  q.Schedule(30, [&](SimTime) { fired.push_back(3); });
-  q.Schedule(10, [&](SimTime) { fired.push_back(1); });
-  q.Schedule(20, [&](SimTime) { fired.push_back(2); });
-  while (!q.empty()) q.RunNext();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
+  RecordingHandler handler;
+  q.Schedule(30, Event::NodeProcess(3));
+  q.Schedule(10, Event::NodeProcess(1));
+  q.Schedule(20, Event::NodeProcess(2));
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.PeekTime(), 10);
+  EXPECT_EQ(q.RunNext(&handler), 10);
+  EXPECT_EQ(q.PeekTime(), 20);
+  while (!q.empty()) q.RunNext(&handler);
+  EXPECT_EQ(handler.Tags(), (std::vector<uint32_t>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, TiesBreakByInsertionOrder) {
   EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 10; ++i) {
-    q.Schedule(5, [&fired, i](SimTime) { fired.push_back(i); });
-  }
-  while (!q.empty()) q.RunNext();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
+  RecordingHandler handler;
+  for (uint32_t i = 0; i < 10; ++i) q.Schedule(5, Event::NodeProcess(i));
+  while (!q.empty()) q.RunNext(&handler);
+  EXPECT_EQ(handler.Tags(),
+            (std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
-
-TEST(EventQueueTest, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  uint64_t id = q.Schedule(10, [&](SimTime) { ran = true; });
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.Cancel(id));  // double cancel
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueueTest, CancelUnknownIdFails) {
-  EventQueue q;
-  EXPECT_FALSE(q.Cancel(12345));
-}
-
-// Pins the documented Cancel contract: false for fired, already
-// cancelled and never-issued ids — including after the entry slot has
-// been recycled through the free list by later Schedules.
-TEST(EventQueueTest, CancelSemanticsSurviveSlotRecycling) {
-  EventQueue q;
-  const uint64_t fired = q.Schedule(10, [](SimTime) {});
-  q.RunNext();
-  EXPECT_FALSE(q.Cancel(fired));  // already fired
-
-  const uint64_t cancelled = q.Schedule(20, [](SimTime) {});
-  EXPECT_TRUE(q.Cancel(cancelled));
-  EXPECT_FALSE(q.Cancel(cancelled));  // double cancel
-
-  // Surface the cancelled entry so its slot returns to the free list,
-  // then reuse it. Ids of the old occupants must stay dead; the new
-  // occupant must be cancellable exactly once.
-  EXPECT_EQ(q.PeekTime(), kSimTimeMax);
-  const uint64_t recycled = q.Schedule(30, [](SimTime) {});
-  EXPECT_FALSE(q.Cancel(fired));
-  EXPECT_FALSE(q.Cancel(cancelled));
-  EXPECT_FALSE(q.Cancel(recycled + 100));  // never issued
-  EXPECT_TRUE(q.Cancel(recycled));
-  EXPECT_FALSE(q.Cancel(recycled));
-  EXPECT_TRUE(q.empty());
-}
-
-/// Records every typed event it receives.
-struct RecordingHandler : EventHandler {
-  struct Seen {
-    SimTime t;
-    Event event;
-  };
-  std::vector<Seen> seen;
-  void HandleEvent(SimTime t, const Event& event) override {
-    seen.push_back({t, event});
-  }
-};
 
 TEST(EventQueueTest, TypedEventsDispatchThroughHandler) {
   EventQueue q;
@@ -114,116 +88,104 @@ TEST(EventQueueTest, TypedEventsDispatchThroughHandler) {
   EXPECT_EQ(handler.seen[2].event.a, 9u);
 }
 
-TEST(EventQueueTest, TypedAndCallbackEventsInterleaveInOrder) {
-  EventQueue q;
-  RecordingHandler handler;
-  std::vector<int> callback_fired;
-  q.Schedule(5, Event::PullPoll(1, 0));
-  q.Schedule(5, [&](SimTime) { callback_fired.push_back(1); });
-  q.Schedule(5, Event::FinalizeHook());
-  while (!q.empty()) q.RunNext(&handler);
-  // Insertion order at equal times: typed, callback, typed.
-  ASSERT_EQ(handler.seen.size(), 2u);
-  EXPECT_EQ(handler.seen[0].event.kind, EventKind::kPullPoll);
-  EXPECT_EQ(handler.seen[1].event.kind, EventKind::kFinalizeHook);
-  EXPECT_EQ(callback_fired, (std::vector<int>{1}));
-}
-
-TEST(EventQueueTest, CancelledTypedAndCallbackEventsNeverFire) {
-  EventQueue q;
-  RecordingHandler handler;
-  bool callback_ran = false;
-  const uint64_t typed = q.Schedule(10, Event::SourceTick(1, 1));
-  const uint64_t cb = q.Schedule(10, [&](SimTime) { callback_ran = true; });
-  q.Schedule(20, Event::NodeProcess(2));
-  EXPECT_TRUE(q.Cancel(typed));
-  EXPECT_TRUE(q.Cancel(cb));
-  while (!q.empty()) q.RunNext(&handler);
-  EXPECT_FALSE(callback_ran);
-  ASSERT_EQ(handler.seen.size(), 1u);
-  EXPECT_EQ(handler.seen[0].event.kind, EventKind::kNodeProcess);
-}
-
-TEST(EventQueueTest, CancelledEventSkippedInPeek) {
-  EventQueue q;
-  uint64_t early = q.Schedule(5, [](SimTime) {});
-  q.Schedule(9, [](SimTime) {});
-  EXPECT_EQ(q.PeekTime(), 5);
-  q.Cancel(early);
-  EXPECT_EQ(q.PeekTime(), 9);
-}
-
+// Each round pops the slot the round's first push took while a growing
+// tail of later events stays pending, so heap slots are reused under a
+// non-empty heap; the tail is scheduled in reverse time order.
 TEST(EventQueueTest, SlotRecyclingKeepsCorrectness) {
   EventQueue q;
-  std::vector<SimTime> fired;
-  // Interleave schedule/run so slots are reused while stale heap items
-  // remain.
-  for (int round = 0; round < 100; ++round) {
-    q.Schedule(round * 10, [&](SimTime t) { fired.push_back(t); });
-    uint64_t dead = q.Schedule(round * 10 + 5, [](SimTime) {});
-    q.Cancel(dead);
-    q.RunNext();
+  RecordingHandler handler;
+  for (uint32_t round = 0; round < 100; ++round) {
+    q.Schedule(round * 10, Event::NodeProcess(round));
+    q.Schedule(100000 - round, Event::NodeProcess(1000 + round));
+    EXPECT_EQ(q.RunNext(&handler), round * 10);
   }
-  EXPECT_TRUE(q.empty());
-  ASSERT_EQ(fired.size(), 100u);
-  for (int round = 0; round < 100; ++round) {
-    EXPECT_EQ(fired[round], round * 10);
+  EXPECT_EQ(q.size(), 100u);
+  while (!q.empty()) q.RunNext(&handler);
+  ASSERT_EQ(handler.seen.size(), 200u);
+  for (uint32_t k = 0; k < 100; ++k) {
+    EXPECT_EQ(handler.seen[k].event.a, k);
+    EXPECT_EQ(handler.seen[100 + k].event.a, 1099 - k);
   }
 }
 
+// The handler is the queue's callback into its driver: it may schedule
+// at the instant being dispatched, and those events still run after the
+// ones already pending at that instant (insertion order).
 TEST(EventQueueTest, CallbackMaySchedule) {
   EventQueue q;
-  int count = 0;
-  std::function<void(SimTime)> chain = [&](SimTime t) {
-    if (++count < 5) q.Schedule(t + 1, chain);
+  RecordingHandler handler;
+  handler.on_event = [&](SimTime t, const Event& event) {
+    if (event.kind == EventKind::kNodeProcess && event.a < 4) {
+      q.Schedule(t, Event::NodeProcess(event.a + 1));
+    }
   };
-  q.Schedule(0, chain);
-  while (!q.empty()) q.RunNext();
-  EXPECT_EQ(count, 5);
+  q.Schedule(0, Event::NodeProcess(0));
+  q.Schedule(0, Event::FinalizeHook());
+  while (!q.empty()) q.RunNext(&handler);
+  ASSERT_EQ(handler.seen.size(), 6u);
+  EXPECT_EQ(handler.seen[1].event.kind, EventKind::kFinalizeHook);
+  for (const auto& s : handler.seen) EXPECT_EQ(s.t, 0);
+  EXPECT_EQ(handler.Tags(), (std::vector<uint32_t>{0, 0, 1, 2, 3, 4}));
 }
 
 TEST(SimulatorTest, NowAdvancesWithEvents) {
   Simulator sim;
-  SimTime seen = -1;
-  sim.ScheduleAfter(100, [&](SimTime t) { seen = t; });
+  RecordingHandler handler;
+  sim.set_handler(&handler);
+  sim.ScheduleAfter(100, Event::NodeProcess(1));
   sim.Run();
-  EXPECT_EQ(seen, 100);
+  ASSERT_EQ(handler.seen.size(), 1u);
+  EXPECT_EQ(handler.seen[0].t, 100);
   EXPECT_EQ(sim.now(), 100);
   EXPECT_EQ(sim.events_executed(), 1u);
 }
 
 TEST(SimulatorTest, RunUntilHorizonLeavesLaterEvents) {
   Simulator sim;
-  int fired = 0;
-  sim.ScheduleAt(10, [&](SimTime) { ++fired; });
-  sim.ScheduleAt(20, [&](SimTime) { ++fired; });
-  sim.ScheduleAt(30, [&](SimTime) { ++fired; });
+  RecordingHandler handler;
+  sim.set_handler(&handler);
+  sim.ScheduleAt(10, Event::NodeProcess(1));
+  sim.ScheduleAt(20, Event::NodeProcess(2));
+  sim.ScheduleAt(30, Event::NodeProcess(3));
+  // An event exactly at the horizon runs; later ones stay pending.
   EXPECT_EQ(sim.RunUntil(20), 2u);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(handler.Tags(), (std::vector<uint32_t>{1, 2}));
   EXPECT_EQ(sim.now(), 20);
   EXPECT_EQ(sim.queue().size(), 1u);
+  // A horizon short of the next event still advances the clock to it.
+  EXPECT_EQ(sim.RunUntil(25), 0u);
+  EXPECT_EQ(sim.now(), 25);
+  EXPECT_EQ(sim.Run(), 1u);
+  EXPECT_EQ(sim.now(), 30);
+  EXPECT_EQ(sim.events_executed(), 3u);
 }
 
 TEST(SimulatorTest, ScheduleAfterIsRelative) {
   Simulator sim;
-  std::vector<SimTime> times;
-  sim.ScheduleAfter(10, [&](SimTime t) {
-    times.push_back(t);
-    sim.ScheduleAfter(5, [&](SimTime t2) { times.push_back(t2); });
-  });
+  RecordingHandler handler;
+  handler.on_event = [&](SimTime, const Event& event) {
+    if (event.a == 1) sim.ScheduleAfter(5, Event::NodeProcess(2));
+  };
+  sim.set_handler(&handler);
+  sim.ScheduleAfter(10, Event::NodeProcess(1));
   sim.Run();
-  EXPECT_EQ(times, (std::vector<SimTime>{10, 15}));
+  ASSERT_EQ(handler.seen.size(), 2u);
+  EXPECT_EQ(handler.seen[0].t, 10);
+  EXPECT_EQ(handler.seen[1].t, 15);
 }
 
 TEST(SimulatorTest, ZeroDelaySelfChainTerminates) {
   Simulator sim;
-  int depth = 0;
-  std::function<void(SimTime)> f = [&](SimTime) {
-    if (++depth < 1000) sim.ScheduleAfter(0, f);
+  RecordingHandler handler;
+  handler.on_event = [&](SimTime, const Event& event) {
+    if (event.a + 1 < 1000) {
+      sim.ScheduleAfter(0, Event::NodeProcess(event.a + 1));
+    }
   };
-  sim.ScheduleAfter(0, f);
+  sim.set_handler(&handler);
+  sim.ScheduleAfter(0, Event::NodeProcess(0));
   sim.Run();
-  EXPECT_EQ(depth, 1000);
+  EXPECT_EQ(handler.seen.size(), 1000u);
   EXPECT_EQ(sim.now(), 0);
 }
 
@@ -233,30 +195,30 @@ TEST(SimulatorTest, DispatchesTypedEventsToRegisteredHandler) {
   sim.set_handler(&handler);
   sim.ScheduleAfter(100, Event::SourceTick(2, 4));
   sim.ScheduleAt(50, Event::Delivery(1, 3));
-  int callbacks = 0;
-  sim.ScheduleAt(75, [&](SimTime) { ++callbacks; });
   sim.Run();
   ASSERT_EQ(handler.seen.size(), 2u);
   EXPECT_EQ(handler.seen[0].t, 50);
   EXPECT_EQ(handler.seen[0].event.kind, EventKind::kDelivery);
   EXPECT_EQ(handler.seen[1].t, 100);
   EXPECT_EQ(handler.seen[1].event.kind, EventKind::kSourceTick);
-  EXPECT_EQ(callbacks, 1);
-  EXPECT_EQ(sim.events_executed(), 3u);
+  EXPECT_EQ(sim.events_executed(), 2u);
 }
 
 TEST(SimulatorTest, ManyEventsStressOrder) {
   Simulator sim;
   SimTime last = -1;
   bool monotone = true;
-  for (int i = 0; i < 20000; ++i) {
-    // Pseudo-random but deterministic times.
-    SimTime t = (i * 7919) % 10007;
-    sim.ScheduleAt(t, [&, t](SimTime now) {
-      if (now < last) monotone = false;
-      last = now;
-      EXPECT_EQ(now, t);
-    });
+  RecordingHandler handler;
+  handler.on_event = [&](SimTime now, const Event& event) {
+    if (now < last) monotone = false;
+    last = now;
+    EXPECT_EQ(now, static_cast<SimTime>(event.b));
+  };
+  sim.set_handler(&handler);
+  for (uint32_t i = 0; i < 20000; ++i) {
+    // Pseudo-random but deterministic times, carried in the payload.
+    const SimTime t = (i * 7919) % 10007;
+    sim.ScheduleAt(t, Event::Delivery(i, static_cast<uint64_t>(t)));
   }
   sim.Run();
   EXPECT_TRUE(monotone);
